@@ -439,7 +439,11 @@ pub fn run_rma(ctx: &RankCtx, cfg: &FftConfig) -> FftResult {
     let mut slab = s.decode_slab(&slab_bytes);
     s.fft_z(ctx, &mut slab);
     ctx.barrier();
-    FftResult { time_ns: ctx.now() - t0, local_out: slab }
+    let time_ns = ctx.now() - t0;
+    // After the timing: freeing is collective, and the slab would
+    // otherwise stay registered until the fabric drops.
+    win.free(ctx);
+    FftResult { time_ns, local_out: slab }
 }
 
 // -------------------------------------------------------------------- UPC
@@ -470,7 +474,9 @@ pub fn run_upc(ctx: &RankCtx, cfg: &FftConfig) -> FftResult {
     let mut slab = s.decode_slab(&slab_bytes);
     s.fft_z(ctx, &mut slab);
     ctx.barrier();
-    FftResult { time_ns: ctx.now() - t0, local_out: slab }
+    let time_ns = ctx.now() - t0;
+    arr.free(ctx);
+    FftResult { time_ns, local_out: slab }
 }
 
 #[cfg(test)]

@@ -221,7 +221,7 @@ impl Win {
             for (t, o) in cur.chunks_exact(es).zip(origin.chunks_exact(es)) {
                 out.extend_from_slice(&op.apply(kind, t, o));
             }
-            out
+            Some(out)
         })?;
         if let Some(t0) = rc {
             let lo = self.rc_base(target_disp, base);
@@ -275,7 +275,7 @@ impl Win {
                 }
             }
             debug_assert_eq!(consumed, packed.len());
-            out
+            Some(out)
         })?;
         // The fallback rewrites the whole extent (holes included), so the
         // shadow record covers it all.
@@ -330,13 +330,13 @@ impl Win {
         }
         let old = self.acc_locked(target, key, base, result.len(), |cur| {
             if op == MpiOp::NoOp {
-                return cur.to_vec();
+                return None;
             }
             let mut out = Vec::with_capacity(cur.len());
             for (t, o) in cur.chunks_exact(es).zip(origin.chunks_exact(es)) {
                 out.extend_from_slice(&op.apply(kind, t, o));
             }
-            out
+            Some(out)
         })?;
         result.copy_from_slice(&old);
         if let Some(t0) = rc {
@@ -381,16 +381,10 @@ impl Win {
                 return Ok(());
             }
         }
-        let mut res = vec![0u8; es];
         let old = self.acc_locked(target, key, base, es, |cur| {
-            if op == MpiOp::NoOp {
-                cur.to_vec()
-            } else {
-                op.apply(kind, cur, origin)
-            }
+            (op != MpiOp::NoOp).then(|| op.apply(kind, cur, origin))
         })?;
-        res.copy_from_slice(&old);
-        result.copy_from_slice(&res);
+        result.copy_from_slice(&old);
         if let Some(t0) = rc {
             let lo = self.rc_base(target_disp, base);
             self.rc_remote(t0, target, lo, es, AccessKind::Acc(acc_tag(op)));
@@ -455,14 +449,17 @@ impl Win {
 
     /// The bufferless fallback protocol (§2.4): lock the target's
     /// accumulate lock, get the current data, apply `f`, put the result
-    /// back, unlock. Returns the *previous* contents.
+    /// back, unlock. Returns the *previous* contents. `f` returning `None`
+    /// (a `NO_OP` read) writes nothing back: a put-back of the bytes just
+    /// read would clobber a concurrent hardware-AMO accumulate, which never
+    /// takes the accumulate lock.
     fn acc_locked(
         &self,
         target: u32,
         key: fompi_fabric::SegKey,
         base: usize,
         len: usize,
-        f: impl FnOnce(&[u8]) -> Vec<u8>,
+        f: impl FnOnce(&[u8]) -> Option<Vec<u8>>,
     ) -> Result<Vec<u8>> {
         let mkey = self.meta_key(target);
         let mut spins = 0u64;
@@ -487,9 +484,10 @@ impl Win {
         let r = (|| -> Result<Vec<u8>> {
             let mut cur = vec![0u8; len];
             self.ep.get(key, base, &mut cur)?;
-            let new = f(&cur);
-            debug_assert_eq!(new.len(), len);
-            self.ep.put(key, base, &new)?;
+            if let Some(new) = f(&cur) {
+                debug_assert_eq!(new.len(), len);
+                self.ep.put(key, base, &new)?;
+            }
             Ok(cur)
         })();
         self.ep.flow_close(prev);

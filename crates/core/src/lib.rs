@@ -329,6 +329,43 @@ mod tests {
     }
 
     #[test]
+    fn dynamic_attach_detach_attach_through_the_segment_cache() {
+        let got = Universe::new(2).node_size(1).run(|ctx| {
+            let win = Win::create_dynamic(ctx).unwrap();
+            let publish = |addr: u64| {
+                let addrs = ctx.allgather(&addr.to_le_bytes());
+                u64::from_le_bytes(addrs[1].as_slice().try_into().unwrap()) as usize
+            };
+            let first = publish(if ctx.rank() == 1 { win.attach(64).unwrap() } else { 0 });
+            let put = |v: u8, at: usize| {
+                win.lock(LockType::Exclusive, 1).unwrap();
+                let r = win.put(&[v; 8], 1, at).and_then(|()| win.flush(1));
+                win.unlock(1).unwrap();
+                r.is_ok()
+            };
+            // Rank 0 warms its segment cache on the first region.
+            let warm = ctx.rank() != 0 || (put(1, first) && put(2, first + 8));
+            ctx.barrier();
+            if ctx.rank() == 1 {
+                win.detach(first as u64).unwrap();
+            }
+            ctx.barrier();
+            let stale_fails = ctx.rank() != 0 || !put(3, first);
+            ctx.barrier();
+            let second = publish(if ctx.rank() == 1 { win.attach(64).unwrap() } else { 0 });
+            let fresh = ctx.rank() != 0 || put(4, second);
+            ctx.barrier();
+            let mut b = [0u8; 8];
+            if ctx.rank() == 1 {
+                win.region_read(second as u64, 0, &mut b).unwrap();
+            }
+            (warm, stale_fails, fresh, b[0])
+        });
+        assert_eq!(got[0], (true, true, true, 0));
+        assert_eq!(got[1].3, 4, "the put after re-attach missed the new region");
+    }
+
+    #[test]
     fn traditional_window_has_linear_metadata() {
         let sizes = Universe::new(8).node_size(4).run(|ctx| {
             let create = Win::create(ctx, 64, 1).unwrap();
@@ -566,5 +603,32 @@ mod tests {
             u64::from_le_bytes(out)
         });
         assert_eq!(got, vec![99, 99]);
+    }
+
+    #[test]
+    fn multi_element_noop_get_accumulate_writes_nothing_back() {
+        // Two elements take the locked fallback. A NO_OP read must not put
+        // the bytes back: that put-back would overwrite a concurrent
+        // hardware-AMO accumulate, which never takes the accumulate lock.
+        let got = Universe::new(2).node_size(1).run(|ctx| {
+            let win = Win::allocate(ctx, 16, 1).unwrap();
+            win.write_local(0, &[7u8; 16]);
+            ctx.barrier();
+            let mut out = [0u8; 16];
+            let mut d = fompi_fabric::CounterSnapshot::default();
+            if ctx.rank() == 1 {
+                win.lock(LockType::Shared, 0).unwrap();
+                let before = ctx.ep().counters().snapshot();
+                win.get_accumulate(&[], &mut out, NumKind::U64, MpiOp::NoOp, 0, 0).unwrap();
+                d = ctx.ep().counters().snapshot().since(&before);
+                win.unlock(0).unwrap();
+            }
+            ctx.barrier();
+            (out, d)
+        });
+        let (out, d) = got[1];
+        assert_eq!(out, [7u8; 16]);
+        assert_eq!(d.puts, 0, "NO_OP get_accumulate put its read back: {d:?}");
+        assert_eq!(d.bytes_get, 16);
     }
 }

@@ -62,7 +62,7 @@ impl Win {
         }
         drop(st);
         self.rc_fence();
-        self.ep.fabric().counters().fences.fetch_add(1, Ordering::Relaxed);
+        self.ep.counters().fences.fetch_add(1, Ordering::Relaxed);
         self.ep.trace_sync(EventKind::Fence, NO_TARGET, t_start);
         Ok(())
     }

@@ -46,7 +46,7 @@ impl Win {
         self.ep.gsync();
         self.ep.mfence();
         self.rc_flush(None);
-        self.ep.fabric().counters().flushes.fetch_add(1, Ordering::Relaxed);
+        self.ep.counters().flushes.fetch_add(1, Ordering::Relaxed);
         self.ep.trace_sync(EventKind::Flush, NO_TARGET, t_start);
         Ok(())
     }
@@ -64,7 +64,7 @@ impl Win {
         self.ep.charge(overhead::flush_ns());
         self.ep.drain_target(target);
         self.rc_flush(Some(target));
-        self.ep.fabric().counters().flushes.fetch_add(1, Ordering::Relaxed);
+        self.ep.counters().flushes.fetch_add(1, Ordering::Relaxed);
         self.ep.trace_sync(EventKind::FlushLocal, target, t_start);
         Ok(())
     }
@@ -77,7 +77,7 @@ impl Win {
         self.ep.charge(overhead::flush_ns());
         self.ep.drain_all();
         self.rc_flush(None);
-        self.ep.fabric().counters().flushes.fetch_add(1, Ordering::Relaxed);
+        self.ep.counters().flushes.fetch_add(1, Ordering::Relaxed);
         self.ep.trace_sync(EventKind::FlushLocal, NO_TARGET, t_start);
         Ok(())
     }

@@ -55,7 +55,7 @@ impl Win {
             st.nocheck.insert(target);
             drop(st);
             self.rc_lock_acquired(Some(target));
-            self.ep.fabric().counters().locks.fetch_add(1, Ordering::Relaxed);
+            self.ep.counters().locks.fetch_add(1, Ordering::Relaxed);
             self.ep.trace_sync(EventKind::Lock, target, t_start);
             return Ok(());
         }
@@ -70,7 +70,7 @@ impl Win {
         // Sample the racecheck session *after* the protocol succeeded, so
         // a blocked acquirer observes the releasing holder's epoch bump.
         self.rc_lock_acquired(Some(target));
-        self.ep.fabric().counters().locks.fetch_add(1, Ordering::Relaxed);
+        self.ep.counters().locks.fetch_add(1, Ordering::Relaxed);
         self.ep.trace_sync(EventKind::Lock, target, t_start);
         Ok(())
     }
@@ -100,7 +100,7 @@ impl Win {
                 st.access = AccessEpoch::None;
             }
             drop(st);
-            self.ep.fabric().counters().unlocks.fetch_add(1, Ordering::Relaxed);
+            self.ep.counters().unlocks.fetch_add(1, Ordering::Relaxed);
             self.ep.trace_sync(EventKind::Unlock, target, t_start);
             return Ok(());
         }
@@ -140,7 +140,7 @@ impl Win {
             st.access = AccessEpoch::None;
         }
         drop(st);
-        self.ep.fabric().counters().unlocks.fetch_add(1, Ordering::Relaxed);
+        self.ep.counters().unlocks.fetch_add(1, Ordering::Relaxed);
         self.ep.trace_sync(EventKind::Unlock, target, t_start);
         Ok(())
     }
@@ -180,7 +180,7 @@ impl Win {
         }
         self.state.borrow_mut().access = AccessEpoch::LockAll;
         self.rc_lock_acquired(None);
-        self.ep.fabric().counters().locks.fetch_add(1, Ordering::Relaxed);
+        self.ep.counters().locks.fetch_add(1, Ordering::Relaxed);
         self.ep.trace_sync(EventKind::LockAll, NO_TARGET, t_start);
         Ok(())
     }
@@ -201,7 +201,7 @@ impl Win {
         let gkey = self.meta_key(self.shared.master);
         self.ep.amo_sync_release(gkey, off::GLOBAL_LOCK, AmoOp::Add, u64::MAX)?; // -1
         self.state.borrow_mut().access = AccessEpoch::None;
-        self.ep.fabric().counters().unlocks.fetch_add(1, Ordering::Relaxed);
+        self.ep.counters().unlocks.fetch_add(1, Ordering::Relaxed);
         self.ep.trace_sync(EventKind::UnlockAll, NO_TARGET, t_start);
         Ok(())
     }

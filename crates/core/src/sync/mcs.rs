@@ -40,7 +40,9 @@ impl Win {
         if old != 0 {
             // Link behind the predecessor, then spin locally.
             let prev = (old - 1) as u32;
-            self.ep.write_sync(self.meta_key(prev), off::MCS_NEXT, me as u64 + 1)?;
+            // Issued only when a predecessor exists — schedule-dependent,
+            // so it draws no faults.
+            self.ep.write_sync_handoff(self.meta_key(prev), off::MCS_NEXT, me as u64 + 1)?;
             let mut spins = 0u64;
             while self.ep.read_sync(my, off::MCS_FLAG)? == 0 {
                 spins += 1;
@@ -97,7 +99,7 @@ impl Win {
             }
         }
         let succ = (next - 1) as u32;
-        self.ep.write_sync(self.meta_key(succ), off::MCS_FLAG, 1)?;
+        self.ep.write_sync_handoff(self.meta_key(succ), off::MCS_FLAG, 1)?;
         self.state.borrow_mut().access = AccessEpoch::None;
         Ok(())
     }

@@ -250,20 +250,8 @@ impl Win {
         let t0 = self.ep.clock().now();
         let mut spins = 0u64;
         loop {
-            if let Some(rec) = self.notify_take(source, tag) {
-                self.ep.notify_join(&rec);
-                // Racecheck acquire edge: matching consumes the
-                // notification's ordering guarantee.
-                self.rc_acquire_own();
-                // The consume span carries the record's flow: the arrow
-                // from the producing put/post terminates here.
-                self.ep.trace_flow_consume(
-                    EventKind::NotifyWait,
-                    rec.source,
-                    t0,
-                    rec.flow,
-                    rec.bytes,
-                );
+            if let Some(rec) = self.take_notify(source, tag, true) {
+                self.notify_consume(&rec, t0);
                 return Ok(rec);
             }
             // Under the model checker, park in the gate until the ring is
@@ -286,11 +274,15 @@ impl Win {
     pub fn test_notify(&self, source: u32, tag: u32) -> Result<Option<NotifyRecord>> {
         self.trace_scope();
         let t0 = self.ep.clock().now();
-        Ok(self.notify_take(source, tag).inspect(|rec| {
-            self.ep.notify_join(rec);
-            self.rc_acquire_own();
-            self.ep.trace_flow_consume(EventKind::NotifyWait, rec.source, t0, rec.flow, rec.bytes);
-        }))
+        Ok(self.take_notify(source, tag, true).inspect(|rec| self.notify_consume(rec, t0)))
+    }
+
+    /// Consume a record taken with [`Win::take_notify`]: join its stamp,
+    /// take the racecheck acquire edge and trace the wait, as a matching
+    /// [`Win::test_notify`] would have at this point.
+    pub fn consume_notify(&self, rec: &NotifyRecord) {
+        self.trace_scope();
+        self.notify_consume(rec, self.ep.clock().now());
     }
 
     /// Notifications queued for this rank and not yet matched (stash +
@@ -299,15 +291,36 @@ impl Win {
         self.notify_stash.borrow().len() + self.ep.notify_backlog()
     }
 
-    /// One matching pass: stash first (FIFO), then drain the ring into the
-    /// stash until a match pops out. Unmatched records keep arrival order.
-    /// No clock joins happen here — only the *matched* record may touch
-    /// the consumer's clock (see [`fompi_fabric::Endpoint::notify_poll`]),
-    /// so consumer time never depends on unrelated queue traffic.
-    fn notify_take(&self, source: u32, tag: u32) -> Option<NotifyRecord> {
+    /// Join a matched record's stamp; the consume span (from `t0`) carries
+    /// the record's flow, so the arrow from the producing put/post
+    /// terminates here.
+    fn notify_consume(&self, rec: &NotifyRecord, t0: f64) {
+        self.ep.notify_join(rec);
+        // Racecheck acquire edge: matching consumes the notification's
+        // ordering guarantee.
+        self.rc_acquire_own();
+        self.ep.trace_flow_consume(EventKind::NotifyWait, rec.source, t0, rec.flow, rec.bytes);
+    }
+
+    /// One matching pass: stash first (FIFO), then (with `ring`) drain the
+    /// ring into the stash until a match pops out. Unmatched records keep
+    /// arrival order. No clock joins happen here — only the *matched*
+    /// record may touch the consumer's clock (see
+    /// [`fompi_fabric::Endpoint::notify_poll`]), so consumer time never
+    /// depends on unrelated queue traffic.
+    ///
+    /// This is [`Win::test_notify`] split in two: the caller joins the
+    /// record later with [`Win::consume_notify`], before relying on the
+    /// notified data. A caller that polls for several kinds of record uses
+    /// this to join them in a fixed order, so its clock does not depend on
+    /// which poll pass happened to dequeue which record.
+    pub fn take_notify(&self, source: u32, tag: u32, ring: bool) -> Option<NotifyRecord> {
         let mut stash = self.notify_stash.borrow_mut();
         if let Some(i) = stash.iter().position(|r| notify_match(source, tag, r.source, r.tag)) {
             return stash.remove(i);
+        }
+        if !ring {
+            return None;
         }
         while let Some(rec) = self.ep.notify_poll() {
             if notify_match(source, tag, rec.source, rec.tag) {

@@ -53,15 +53,22 @@ impl Win {
                 let (ticket, _) = self.ep.amo_sync(mkey, off::MATCH_HEAD, AmoOp::Add, 1, 0)?;
                 let slot = (ticket % pool) as u32;
                 let soff = self.shared.cfg.pool_off(slot);
-                // Wait for the slot to be free (only when lapped).
-                let mut spins = 0u64;
-                while self.ep.read_sync(mkey, soff)? != 0 {
-                    spins += 1;
-                    if spins > self.shared.cfg.pool_retry_limit {
-                        return Err(FompiError::PoolExhausted { target });
+                // Wait for the slot to be free (only when lapped). Polls
+                // are free in virtual time; the one closing read joins the
+                // stamp of the starter's freeing write, so the wait costs
+                // the same however many polls the real schedule took.
+                if !self.ep.mc_poll_word(mkey, soff, "pscw-slot", |w| w == 0) {
+                    let mut spins = 0u64;
+                    while self.ep.peek_sync(mkey, soff)? != 0 {
+                        spins += 1;
+                        if spins > self.shared.cfg.pool_retry_limit {
+                            return Err(FompiError::PoolExhausted { target });
+                        }
+                        std::thread::yield_now();
                     }
-                    super::backoff_spin(&self.ep, spins.min(10));
                 }
+                let v = self.ep.read_sync(mkey, soff)?;
+                debug_assert_eq!(v, 0, "only this ticket's poster refills the slot");
                 self.ep.write_sync(mkey, soff, me as u64 + 1)?;
             }
         } else {

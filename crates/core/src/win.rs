@@ -576,7 +576,7 @@ impl Win {
             for _ in 0..stashed {
                 self.ep.trace_sync(fompi_fabric::telemetry::EventKind::NotifyDrop, self.rank(), t0);
             }
-            ctx.fabric()
+            self.ep
                 .counters()
                 .notify_dropped
                 .fetch_add(stashed, std::sync::atomic::Ordering::Relaxed);

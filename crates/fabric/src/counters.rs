@@ -1,150 +1,130 @@
-//! Global operation counters.
+//! Operation counters: one owner-written block per rank, summed at
+//! snapshot.
 //!
 //! Used by tests and benchmarks to assert the *message complexity* claims of
 //! the paper (e.g. PSCW issues O(k) messages in post/complete and zero in
 //! start/wait; fence is O(p log p) total; locks cost one or two AMOs).
+//!
+//! Every increment goes to the issuing rank's [`RankCounters`], which sits
+//! on cache lines of its own, so two ranks issuing at once never write the
+//! same line. Increments stay `fetch_add`: several endpoints may share one
+//! rank (tests and benchmarks build them freely), and counts must stay
+//! exact. [`Counters::snapshot`] sums the blocks into one
+//! [`CounterSnapshot`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Monotonic counters of fabric activity.
-#[derive(Debug, Default)]
-pub struct Counters {
-    /// Number of put operations issued.
-    pub puts: AtomicU64,
-    /// Number of get operations issued.
-    pub gets: AtomicU64,
-    /// Number of AMOs issued.
-    pub amos: AtomicU64,
-    /// Total bytes moved by puts.
-    pub bytes_put: AtomicU64,
-    /// Total bytes moved by gets.
-    pub bytes_get: AtomicU64,
-    /// Total bytes moved by AMOs (8 per operation).
-    pub bytes_amo: AtomicU64,
-    /// Number of gsync (bulk completion) calls.
-    pub gsyncs: AtomicU64,
-    /// Number of per-target flushes (`flush_target` at the fabric layer —
-    /// the substrate of `MPI_Win_flush`).
-    pub flushes: AtomicU64,
-    /// Number of `MPI_Win_fence` epochs entered (counted by the sync layer).
-    pub fences: AtomicU64,
-    /// Number of lock acquisitions (`MPI_Win_lock` / `lock_all`).
-    pub locks: AtomicU64,
-    /// Number of lock releases (`MPI_Win_unlock` / `unlock_all`).
-    pub unlocks: AtomicU64,
-    /// Operations issued through the batching layer (members of bursts,
-    /// including each burst's first op — see [`crate::batch`]).
-    pub batched_ops: AtomicU64,
-    /// Injection bursts retired (by drain or coalescing stop).
-    pub batch_flushes: AtomicU64,
-    /// Bursts retired specifically because coalescing stopped (next op
-    /// non-adjacent / different kind / would cross the protocol change).
-    pub batch_splits: AtomicU64,
-    /// Notification records appended by notified puts/AMOs
-    /// (see [`crate::notify`]).
-    pub notify_posts: AtomicU64,
-    /// Notification records popped by a consumer.
-    pub notify_consumed: AtomicU64,
-    /// Notified appends that found the target ring full at least once
-    /// (modelled as injection backpressure).
-    pub notify_overflows: AtomicU64,
-    /// Un-consumed notification records discarded (window free).
-    pub notify_dropped: AtomicU64,
+/// Declares the counter set once: the per-rank atomic block, its plain
+/// snapshot, and the field-wise sum and difference over it.
+macro_rules! counter_set {
+    ($($(#[$doc:meta])* $f:ident,)*) => {
+        /// One rank's monotonic counters of fabric activity. Aligned to its
+        /// own cache lines (128 B covers adjacent-line prefetch) so ranks
+        /// never share a written line.
+        #[derive(Debug, Default)]
+        #[repr(align(128))]
+        pub struct RankCounters {
+            $($(#[$doc])* pub $f: AtomicU64,)*
+        }
+
+        /// A point-in-time copy of the counters, summed over ranks.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct CounterSnapshot {
+            $($(#[$doc])* pub $f: u64,)*
+        }
+
+        impl RankCounters {
+            /// This block's counts alone.
+            pub fn snapshot(&self) -> CounterSnapshot {
+                CounterSnapshot { $($f: self.$f.load(Ordering::Relaxed),)* }
+            }
+        }
+
+        impl CounterSnapshot {
+            /// Field-wise sum `self + other`.
+            fn plus(&self, other: &CounterSnapshot) -> CounterSnapshot {
+                CounterSnapshot { $($f: self.$f + other.$f,)* }
+            }
+
+            /// Difference `self - earlier`, field-wise. Saturating:
+            /// unordered snapshots (taken while other ranks are mid-flight)
+            /// never underflow.
+            pub fn since(&self, earlier: &CounterSnapshot) -> CounterSnapshot {
+                CounterSnapshot { $($f: self.$f.saturating_sub(earlier.$f),)* }
+            }
+        }
+    };
 }
 
-/// A point-in-time copy of [`Counters`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CounterSnapshot {
-    /// Puts issued.
-    pub puts: u64,
-    /// Gets issued.
-    pub gets: u64,
-    /// AMOs issued.
-    pub amos: u64,
-    /// Bytes moved by puts.
-    pub bytes_put: u64,
-    /// Bytes moved by gets.
-    pub bytes_get: u64,
-    /// Bytes moved by AMOs.
-    pub bytes_amo: u64,
-    /// gsync calls.
-    pub gsyncs: u64,
-    /// Per-target flushes.
-    pub flushes: u64,
-    /// Fence epochs.
-    pub fences: u64,
-    /// Lock acquisitions.
-    pub locks: u64,
-    /// Lock releases.
-    pub unlocks: u64,
-    /// Operations issued through the batching layer.
-    pub batched_ops: u64,
-    /// Injection bursts retired.
-    pub batch_flushes: u64,
-    /// Bursts retired by a coalescing stop.
-    pub batch_splits: u64,
-    /// Notification records appended.
-    pub notify_posts: u64,
-    /// Notification records consumed.
-    pub notify_consumed: u64,
-    /// Notified appends that hit a full ring.
-    pub notify_overflows: u64,
-    /// Un-consumed notification records discarded.
-    pub notify_dropped: u64,
+counter_set! {
+    /// Number of put operations issued.
+    puts,
+    /// Number of get operations issued.
+    gets,
+    /// Number of AMOs issued.
+    amos,
+    /// Total bytes moved by puts.
+    bytes_put,
+    /// Total bytes moved by gets.
+    bytes_get,
+    /// Total bytes moved by AMOs (8 per operation).
+    bytes_amo,
+    /// Number of gsync (bulk completion) calls.
+    gsyncs,
+    /// Number of per-target flushes (`flush_target` at the fabric layer —
+    /// the substrate of `MPI_Win_flush`).
+    flushes,
+    /// Number of `MPI_Win_fence` epochs entered (counted by the sync layer).
+    fences,
+    /// Number of lock acquisitions (`MPI_Win_lock` / `lock_all`).
+    locks,
+    /// Number of lock releases (`MPI_Win_unlock` / `unlock_all`).
+    unlocks,
+    /// Operations issued through the batching layer (members of bursts,
+    /// including each burst's first op — see [`crate::batch`]).
+    batched_ops,
+    /// Injection bursts retired (by drain or coalescing stop).
+    batch_flushes,
+    /// Bursts retired specifically because coalescing stopped (next op
+    /// non-adjacent / different kind / would cross the protocol change).
+    batch_splits,
+    /// Notification records appended by notified puts/AMOs
+    /// (see [`crate::notify`]).
+    notify_posts,
+    /// Notification records popped by a consumer.
+    notify_consumed,
+    /// Notified appends that found the target ring full at least once
+    /// (modelled as injection backpressure).
+    notify_overflows,
+    /// Un-consumed notification records discarded (window free).
+    notify_dropped,
+}
+
+/// The job's counters: one [`RankCounters`] block per rank.
+#[derive(Debug)]
+pub struct Counters {
+    blocks: Box<[RankCounters]>,
 }
 
 impl Counters {
-    /// Take a snapshot.
+    /// Zeroed counters for `p` ranks.
+    pub fn new(p: usize) -> Self {
+        Self { blocks: (0..p).map(|_| RankCounters::default()).collect() }
+    }
+
+    /// Rank `rank`'s block: the one every op that rank issues bumps.
+    #[inline]
+    pub fn rank(&self, rank: u32) -> &RankCounters {
+        &self.blocks[rank as usize]
+    }
+
+    /// Take a snapshot: the sum over every rank's block.
     pub fn snapshot(&self) -> CounterSnapshot {
-        CounterSnapshot {
-            puts: self.puts.load(Ordering::Relaxed),
-            gets: self.gets.load(Ordering::Relaxed),
-            amos: self.amos.load(Ordering::Relaxed),
-            bytes_put: self.bytes_put.load(Ordering::Relaxed),
-            bytes_get: self.bytes_get.load(Ordering::Relaxed),
-            bytes_amo: self.bytes_amo.load(Ordering::Relaxed),
-            gsyncs: self.gsyncs.load(Ordering::Relaxed),
-            flushes: self.flushes.load(Ordering::Relaxed),
-            fences: self.fences.load(Ordering::Relaxed),
-            locks: self.locks.load(Ordering::Relaxed),
-            unlocks: self.unlocks.load(Ordering::Relaxed),
-            batched_ops: self.batched_ops.load(Ordering::Relaxed),
-            batch_flushes: self.batch_flushes.load(Ordering::Relaxed),
-            batch_splits: self.batch_splits.load(Ordering::Relaxed),
-            notify_posts: self.notify_posts.load(Ordering::Relaxed),
-            notify_consumed: self.notify_consumed.load(Ordering::Relaxed),
-            notify_overflows: self.notify_overflows.load(Ordering::Relaxed),
-            notify_dropped: self.notify_dropped.load(Ordering::Relaxed),
-        }
+        self.blocks.iter().fold(CounterSnapshot::default(), |acc, b| acc.plus(&b.snapshot()))
     }
 }
 
 impl CounterSnapshot {
-    /// Difference `self - earlier`, field-wise. Saturating: unordered
-    /// snapshots (taken while other ranks are mid-flight) never underflow.
-    pub fn since(&self, earlier: &CounterSnapshot) -> CounterSnapshot {
-        CounterSnapshot {
-            puts: self.puts.saturating_sub(earlier.puts),
-            gets: self.gets.saturating_sub(earlier.gets),
-            amos: self.amos.saturating_sub(earlier.amos),
-            bytes_put: self.bytes_put.saturating_sub(earlier.bytes_put),
-            bytes_get: self.bytes_get.saturating_sub(earlier.bytes_get),
-            bytes_amo: self.bytes_amo.saturating_sub(earlier.bytes_amo),
-            gsyncs: self.gsyncs.saturating_sub(earlier.gsyncs),
-            flushes: self.flushes.saturating_sub(earlier.flushes),
-            fences: self.fences.saturating_sub(earlier.fences),
-            locks: self.locks.saturating_sub(earlier.locks),
-            unlocks: self.unlocks.saturating_sub(earlier.unlocks),
-            batched_ops: self.batched_ops.saturating_sub(earlier.batched_ops),
-            batch_flushes: self.batch_flushes.saturating_sub(earlier.batch_flushes),
-            batch_splits: self.batch_splits.saturating_sub(earlier.batch_splits),
-            notify_posts: self.notify_posts.saturating_sub(earlier.notify_posts),
-            notify_consumed: self.notify_consumed.saturating_sub(earlier.notify_consumed),
-            notify_overflows: self.notify_overflows.saturating_sub(earlier.notify_overflows),
-            notify_dropped: self.notify_dropped.saturating_sub(earlier.notify_dropped),
-        }
-    }
-
     /// Total one-sided operations (puts + gets + amos).
     pub fn total_ops(&self) -> u64 {
         self.puts + self.gets + self.amos
@@ -162,24 +142,25 @@ mod tests {
 
     #[test]
     fn snapshot_and_diff() {
-        let c = Counters::default();
-        c.puts.fetch_add(3, Ordering::Relaxed);
-        c.bytes_put.fetch_add(24, Ordering::Relaxed);
+        let c = Counters::new(2);
+        c.rank(0).puts.fetch_add(3, Ordering::Relaxed);
+        c.rank(1).bytes_put.fetch_add(24, Ordering::Relaxed);
         let a = c.snapshot();
-        c.gets.fetch_add(2, Ordering::Relaxed);
+        c.rank(1).gets.fetch_add(2, Ordering::Relaxed);
         let b = c.snapshot();
         let d = b.since(&a);
         assert_eq!(d.puts, 0);
         assert_eq!(d.gets, 2);
         assert_eq!(b.total_ops(), 5);
+        assert_eq!(b.bytes_put, 24);
     }
 
     #[test]
     fn since_saturates_instead_of_underflowing() {
-        let c = Counters::default();
-        c.amos.fetch_add(5, Ordering::Relaxed);
+        let c = Counters::new(1);
+        c.rank(0).amos.fetch_add(5, Ordering::Relaxed);
         let later = c.snapshot();
-        c.amos.fetch_add(1, Ordering::Relaxed);
+        c.rank(0).amos.fetch_add(1, Ordering::Relaxed);
         let even_later = c.snapshot();
         // Reversed order: "later - even_later" would underflow with plain
         // subtraction; saturating gives 0.
@@ -189,14 +170,25 @@ mod tests {
 
     #[test]
     fn sync_layer_counters_roundtrip() {
-        let c = Counters::default();
-        c.fences.fetch_add(2, Ordering::Relaxed);
-        c.locks.fetch_add(4, Ordering::Relaxed);
-        c.unlocks.fetch_add(4, Ordering::Relaxed);
-        c.flushes.fetch_add(1, Ordering::Relaxed);
-        c.bytes_amo.fetch_add(16, Ordering::Relaxed);
+        let c = Counters::new(4);
+        c.rank(3).fences.fetch_add(2, Ordering::Relaxed);
+        c.rank(0).locks.fetch_add(4, Ordering::Relaxed);
+        c.rank(2).unlocks.fetch_add(4, Ordering::Relaxed);
+        c.rank(1).flushes.fetch_add(1, Ordering::Relaxed);
+        c.rank(1).bytes_amo.fetch_add(16, Ordering::Relaxed);
         let s = c.snapshot();
         assert_eq!((s.fences, s.locks, s.unlocks, s.flushes), (2, 4, 4, 1));
         assert_eq!(s.total_bytes(), 16);
+        assert_eq!(c.rank(1).snapshot().flushes, 1);
+        assert_eq!(c.rank(0).snapshot().flushes, 0);
+    }
+
+    #[test]
+    fn blocks_sit_on_separate_cache_lines() {
+        let c = Counters::new(2);
+        let a = c.rank(0) as *const RankCounters as usize;
+        let b = c.rank(1) as *const RankCounters as usize;
+        assert_eq!(a % 128, 0);
+        assert!(b - a >= 128);
     }
 }

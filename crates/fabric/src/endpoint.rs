@@ -19,15 +19,20 @@
 //! Protocol words that other ranks block on (completion counters, lock
 //! words, matching-list heads) are 16-byte cells: a value word followed by a
 //! timestamp word. The `*_sync` operations update/read both so that causal
-//! virtual time flows through synchronisation.
+//! virtual time flows through synchronisation. Writers raise the stamp
+//! *before* publishing the value (release), and readers load the value
+//! (acquire) before the stamp, so a reader that observes a value always
+//! joins at least its writer's stamp — however the two threads interleave.
 
 use crate::amo::AmoOp;
 use crate::batch::{Burst, BurstKind};
 use crate::clock::{bits_to_stamp, stamp_to_bits, Clock};
 use crate::cost::Transport;
+use crate::counters::RankCounters;
 use crate::error::FabricError;
 use crate::mc::{McObj, McOp};
 use crate::notify::NotifyRecord;
+use crate::segcache::{SegCache, SegRef};
 use crate::segment::SegKey;
 use crate::shadow::AccessKind;
 use crate::stripes::StripedHorizon;
@@ -56,10 +61,15 @@ pub struct NbHandle {
 /// implicit puts and non-fetching AMOs are write-combined into per-target
 /// injection bursts (see [`crate::batch`]) that retire at the next
 /// flush/gsync/ordered release or when coalescing stops.
+///
+/// The steady-state op path writes nothing another rank writes: keys
+/// resolve through the endpoint's own [`crate::segcache`] and counts go to
+/// this rank's [`RankCounters`] block.
 pub struct Endpoint {
     fabric: Arc<Fabric>,
     rank: u32,
     clock: Clock,
+    pub(crate) segs: SegCache,
     pending: StripedHorizon,
     /// Open injection bursts, one per target. A BTree so drains walk
     /// targets in a deterministic order.
@@ -82,6 +92,7 @@ impl Endpoint {
     pub fn new(fabric: Arc<Fabric>, rank: u32) -> Self {
         let batch = fabric.batch_default();
         Self {
+            segs: SegCache::new(&fabric),
             fabric,
             rank,
             clock: Clock::new(),
@@ -102,6 +113,22 @@ impl Endpoint {
     /// The shared fabric.
     pub fn fabric(&self) -> &Arc<Fabric> {
         &self.fabric
+    }
+
+    /// This rank's counter block: every op this endpoint issues is counted
+    /// here (upper layers add their sync counts the same way).
+    #[inline]
+    pub fn counters(&self) -> &RankCounters {
+        self.fabric.counters().rank(self.rank)
+    }
+
+    /// Resolve `key` through this endpoint's segment cache: a hit writes
+    /// nothing shared. Fails with [`FabricError::UnknownKey`] once the key
+    /// is deregistered. Meant for direct access to memory this rank owns
+    /// (a PGAS image); remote data goes through the ops.
+    #[inline]
+    pub fn segment(&self, key: SegKey) -> Result<SegRef<'_>, FabricError> {
+        self.segs.get(&self.fabric, key)
     }
 
     /// This rank's virtual clock.
@@ -358,13 +385,8 @@ impl Endpoint {
         Ok(())
     }
 
-    fn bounds(
-        &self,
-        key: SegKey,
-        off: usize,
-        len: usize,
-    ) -> Result<Arc<crate::Segment>, FabricError> {
-        let seg = self.fabric.resolve(key)?;
+    fn bounds(&self, key: SegKey, off: usize, len: usize) -> Result<SegRef<'_>, FabricError> {
+        let seg = self.segment(key)?;
         if !seg.check(off, len) {
             return Err(FabricError::OutOfBounds { key, offset: off, len, seg_len: seg.len() });
         }
@@ -456,7 +478,7 @@ impl Endpoint {
         };
         let t_complete = self.clock.now() + wire + b.extra_ns;
         self.pending.note(b.key.rank, t_complete);
-        let c = self.fabric.counters();
+        let c = self.counters();
         c.batch_flushes.fetch_add(1, Ordering::Relaxed);
         if how == EventKind::BatchSplit {
             c.batch_splits.fetch_add(1, Ordering::Relaxed);
@@ -491,7 +513,7 @@ impl Endpoint {
         let m = self.fabric.model();
         let extra = self.apply_faults(key.rank, m.put_latency(t, src.len()), true);
         seg.write(off, src);
-        let c = self.fabric.counters();
+        let c = self.counters();
         c.puts.fetch_add(1, Ordering::Relaxed);
         c.bytes_put.fetch_add(src.len() as u64, Ordering::Relaxed);
         c.batched_ops.fetch_add(1, Ordering::Relaxed);
@@ -514,7 +536,7 @@ impl Endpoint {
         let m = self.fabric.model();
         let extra = self.apply_faults(key.rank, m.amo_latency(t), true);
         seg.amo(off, op, operand, 0);
-        let c = self.fabric.counters();
+        let c = self.counters();
         c.amos.fetch_add(1, Ordering::Relaxed);
         c.bytes_amo.fetch_add(8, Ordering::Relaxed);
         c.batched_ops.fetch_add(1, Ordering::Relaxed);
@@ -543,7 +565,7 @@ impl Endpoint {
         self.clock.advance(m.inject(t));
         let t_complete = self.clock.now() + m.put_latency(t, src.len()) + extra;
         seg.write(off, src);
-        let c = self.fabric.counters();
+        let c = self.counters();
         c.puts.fetch_add(1, Ordering::Relaxed);
         c.bytes_put.fetch_add(src.len() as u64, Ordering::Relaxed);
         self.trace_op(
@@ -609,7 +631,7 @@ impl Endpoint {
         self.clock.advance(m.inject(t));
         let t_complete = self.clock.now() + m.get_latency(t, dst.len()) + extra;
         seg.read(off, dst);
-        let c = self.fabric.counters();
+        let c = self.counters();
         c.gets.fetch_add(1, Ordering::Relaxed);
         c.bytes_get.fetch_add(dst.len() as u64, Ordering::Relaxed);
         self.trace_op(
@@ -671,7 +693,7 @@ impl Endpoint {
         self.clock.advance(m.inject(t));
         let old = seg.amo(off, op, operand, compare);
         self.clock.advance(m.amo_latency(t) + extra);
-        let c = self.fabric.counters();
+        let c = self.counters();
         c.amos.fetch_add(1, Ordering::Relaxed);
         c.bytes_amo.fetch_add(8, Ordering::Relaxed);
         self.trace_op(
@@ -715,7 +737,7 @@ impl Endpoint {
         let t_complete = self.clock.now() + m.amo_latency(t) + extra;
         seg.amo(off, op, operand, 0);
         self.note_pending(key.rank, t_complete);
-        let c = self.fabric.counters();
+        let c = self.counters();
         c.amos.fetch_add(1, Ordering::Relaxed);
         c.bytes_amo.fetch_add(8, Ordering::Relaxed);
         self.trace_op(
@@ -760,10 +782,10 @@ impl Endpoint {
         let m = self.fabric.model();
         self.clock.advance(m.inject(t));
         let t_complete = self.clock.now() + m.amo_latency(t);
-        let old = seg.amo(off, op, operand, compare);
         let old_stamp = seg.word(off + 8).fetch_max(stamp_to_bits(t_complete), Ordering::AcqRel);
+        let old = seg.amo(off, op, operand, compare);
         self.clock.join(t_complete);
-        let c = self.fabric.counters();
+        let c = self.counters();
         c.amos.fetch_add(1, Ordering::Relaxed);
         c.bytes_amo.fetch_add(8, Ordering::Relaxed);
         Ok((old, bits_to_stamp(old_stamp)))
@@ -790,10 +812,10 @@ impl Endpoint {
         let extra = self.apply_faults(key.rank, m.amo_latency(t), true);
         self.clock.advance(m.inject(t));
         let t_complete = self.clock.now() + m.amo_latency(t) + extra;
-        seg.amo(off, op, operand, 0);
         seg.word(off + 8).fetch_max(stamp_to_bits(t_complete), Ordering::AcqRel);
+        seg.amo(off, op, operand, 0);
         self.note_pending(key.rank, t_complete);
-        let c = self.fabric.counters();
+        let c = self.counters();
         c.amos.fetch_add(1, Ordering::Relaxed);
         c.bytes_amo.fetch_add(8, Ordering::Relaxed);
         Ok(())
@@ -829,8 +851,8 @@ impl Endpoint {
         self.clock.advance(m.inject(t));
         let pending = self.pending.horizon(key.rank);
         let t_complete = (self.clock.now() + m.amo_latency(t) + extra).max(pending);
-        seg.amo(off, op, operand, 0);
         seg.word(off + 8).fetch_max(stamp_to_bits(t_complete), Ordering::AcqRel);
+        seg.amo(off, op, operand, 0);
         // Hand the in-scope flow to the signalled rank: a waiter that
         // observes this release picks it up via `take_signal_flow`, joining
         // the consumer's trace span to this producer's flow arrow.
@@ -839,7 +861,7 @@ impl Endpoint {
             self.fabric.telemetry().publish_signal_flow(key.rank, flow);
         }
         self.note_pending(key.rank, t_complete);
-        let c = self.fabric.counters();
+        let c = self.counters();
         c.amos.fetch_add(1, Ordering::Relaxed);
         c.bytes_amo.fetch_add(8, Ordering::Relaxed);
         Ok(())
@@ -856,7 +878,7 @@ impl Endpoint {
         let lat = if local { 0.0 } else { m.get_latency(t, 8) };
         if !local {
             self.clock.advance(m.inject(t));
-            self.fabric.counters().gets.fetch_add(1, Ordering::Relaxed);
+            self.counters().gets.fetch_add(1, Ordering::Relaxed);
         }
         let v = seg.word(off).load(Ordering::Acquire);
         let s = bits_to_stamp(seg.word(off + 8).load(Ordering::Acquire));
@@ -865,19 +887,57 @@ impl Endpoint {
         Ok(v)
     }
 
+    /// Load a sync variable's value word with no virtual-time charge, no
+    /// count and no stamp join: the wall-clock half of a wait whose virtual
+    /// cost is charged once, by a closing [`Endpoint::read_sync`] that
+    /// joins the stamp of the write it waited for. Charging each poll
+    /// instead would make the clock depend on how many polls the real
+    /// schedule took.
+    pub fn peek_sync(&self, key: SegKey, off: usize) -> Result<u64, FabricError> {
+        let seg = self.bounds(key, off, 16)?;
+        self.mc_seg(key, off, 16, AccessKind::Get, false, "peek_sync");
+        Ok(seg.word(off).load(Ordering::Acquire))
+    }
+
     /// Write a 16-byte sync variable (value + stamp = our completion time).
     pub fn write_sync(&self, key: SegKey, off: usize, value: u64) -> Result<(), FabricError> {
+        self.write_sync_inner(key, off, value, true)
+    }
+
+    /// [`Endpoint::write_sync`] for a hand-off whose very issue depends on
+    /// the schedule: an MCS link or successor signal exists only when
+    /// another rank happened to queue. Exempt from fault injection, like
+    /// [`Endpoint::amo_sync`], so each rank's fault draws stay a function
+    /// of its program order alone (see [`crate::faults`]). Costs the same
+    /// virtual time as `write_sync` when no fault plan is armed.
+    pub fn write_sync_handoff(
+        &self,
+        key: SegKey,
+        off: usize,
+        value: u64,
+    ) -> Result<(), FabricError> {
+        self.write_sync_inner(key, off, value, false)
+    }
+
+    fn write_sync_inner(
+        &self,
+        key: SegKey,
+        off: usize,
+        value: u64,
+        faults: bool,
+    ) -> Result<(), FabricError> {
         let seg = self.bounds(key, off, 16)?;
         self.mc_seg(key, off, 16, AccessKind::Put, false, "write_sync");
         let t = self.transport_to(key.rank);
         let m = self.fabric.model();
-        let extra = self.apply_faults(key.rank, m.put_latency(t, 8), true);
+        let extra =
+            if faults { self.apply_faults(key.rank, m.put_latency(t, 8), true) } else { 0.0 };
         self.clock.advance(m.inject(t));
         let t_complete = self.clock.now() + m.put_latency(t, 8) + extra;
-        seg.word(off).store(value, Ordering::Release);
         seg.word(off + 8).fetch_max(stamp_to_bits(t_complete), Ordering::AcqRel);
+        seg.word(off).store(value, Ordering::Release);
         self.note_pending(key.rank, t_complete);
-        self.fabric.counters().puts.fetch_add(1, Ordering::Relaxed);
+        self.counters().puts.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -935,14 +995,14 @@ impl Endpoint {
                     }
                 }
                 self.note_pending(target, t_complete);
-                self.fabric.counters().notify_posts.fetch_add(1, Ordering::Relaxed);
+                self.counters().notify_posts.fetch_add(1, Ordering::Relaxed);
                 self.fabric.profiler().finish(EventKind::NotifyPost, wall);
                 return Ok(());
             }
             // Overflow → backpressure. Charge the stall once (no extra RNG
             // draws: the magnitude comes straight from the armed plan), then
             // retry while the consumer drains.
-            let c = self.fabric.counters();
+            let c = self.counters();
             c.notify_overflows.fetch_add(1, Ordering::Relaxed);
             let plan = self.fabric.faults().plan();
             let stall = if plan.bp_ns > 0.0 { plan.bp_ns } else { Self::NOTIFY_BP_NS };
@@ -970,7 +1030,7 @@ impl Endpoint {
             }
         }
         self.note_pending(target, t_complete);
-        self.fabric.counters().notify_posts.fetch_add(1, Ordering::Relaxed);
+        self.counters().notify_posts.fetch_add(1, Ordering::Relaxed);
         self.trace_op(
             EventKind::NotifyPost,
             Flavor::Implicit,
@@ -1077,7 +1137,7 @@ impl Endpoint {
         // emptiness is itself order-sensitive (it decides a retry).
         self.mc_op(McObj::Ring(self.rank), 0, 0, AccessKind::Get, false, "notify-poll");
         let rec = self.fabric.notify().queue(self.rank).try_pop()?;
-        self.fabric.counters().notify_consumed.fetch_add(1, Ordering::Relaxed);
+        self.counters().notify_consumed.fetch_add(1, Ordering::Relaxed);
         Some(rec)
     }
 
@@ -1118,7 +1178,7 @@ impl Endpoint {
             );
         }
         if n > 0 {
-            self.fabric.counters().notify_dropped.fetch_add(n, Ordering::Relaxed);
+            self.counters().notify_dropped.fetch_add(n, Ordering::Relaxed);
         }
         n
     }
@@ -1143,7 +1203,7 @@ impl Endpoint {
         if extra > 0.0 {
             self.clock.advance(extra);
         }
-        self.fabric.counters().gsyncs.fetch_add(1, Ordering::Relaxed);
+        self.counters().gsyncs.fetch_add(1, Ordering::Relaxed);
         self.trace_sync(EventKind::Gsync, NO_TARGET, t_start);
         self.fabric.profiler().finish(EventKind::Gsync, wall);
     }
@@ -1166,7 +1226,7 @@ impl Endpoint {
         let t_start = self.clock.now();
         self.drain_target(target);
         self.clock.join(self.pending.horizon(target));
-        self.fabric.counters().flushes.fetch_add(1, Ordering::Relaxed);
+        self.counters().flushes.fetch_add(1, Ordering::Relaxed);
         self.trace_sync(EventKind::Flush, target, t_start);
         self.fabric.profiler().finish(EventKind::Flush, wall);
     }
@@ -1352,9 +1412,12 @@ impl Endpoint {
         if !self.fabric.mc_armed() {
             return false;
         }
-        let Ok(seg) = self.bounds(key, off, 8) else {
+        let Ok(seg) = self.fabric.resolve(key) else {
             return false;
         };
+        if !seg.check(off, 8) {
+            return false;
+        }
         self.mc_poll(McObj::Seg { owner: key.rank, id: key.id }, label, move || {
             pred(seg.word(off).load(Ordering::Acquire))
         })
@@ -1829,5 +1892,39 @@ mod tests {
         let d = f.counters().snapshot().since(&before);
         assert_eq!((d.puts, d.gets, d.amos), (1, 1, 1));
         assert_eq!((d.bytes_put, d.bytes_get), (100, 50));
+    }
+
+    #[test]
+    fn concurrent_issuers_count_exactly() {
+        const P: usize = 4;
+        const N: u64 = 2_000;
+        let f = Fabric::new(P, 1, CostModel::default());
+        let keys: Vec<_> = (0..P as u32).map(|r| f.register(r, Segment::new(4096))).collect();
+        let before = f.counters().snapshot();
+        std::thread::scope(|s| {
+            // Two endpoints per rank: counts must stay exact when
+            // endpoints share a rank's block.
+            for t in 0..2 * P {
+                let (f, keys) = (f.clone(), &keys);
+                s.spawn(move || {
+                    let r = (t % P) as u32;
+                    let ep = Endpoint::new(f, r);
+                    let target = keys[(t + 1) % P];
+                    for i in 0..N as usize {
+                        ep.put_implicit(target, (i % 64) * 8, &[r as u8; 8]).unwrap();
+                        ep.amo(target, 1024, AmoOp::Add, 1, 0).unwrap();
+                    }
+                    ep.gsync();
+                });
+            }
+        });
+        let d = f.counters().snapshot().since(&before);
+        let n = 2 * P as u64 * N;
+        assert_eq!((d.puts, d.bytes_put, d.amos, d.bytes_amo), (n, 8 * n, n, 8 * n));
+        assert_eq!((d.gets, d.gsyncs), (0, 2 * P as u64));
+        for r in 0..P as u32 {
+            let b = f.counters().rank(r).snapshot();
+            assert_eq!((b.puts, b.amos), (2 * N, 2 * N), "rank {r}'s block");
+        }
     }
 }

@@ -48,6 +48,7 @@ pub mod metrics;
 pub mod notify;
 pub mod profile;
 pub mod rng;
+pub mod segcache;
 pub mod segment;
 pub mod shadow;
 pub mod shim;
@@ -60,7 +61,7 @@ pub use amo::AmoOp;
 pub use batch::{Burst, BurstKind};
 pub use clock::{Clock, StampCell};
 pub use cost::{CostModel, Transport};
-pub use counters::{CounterSnapshot, Counters};
+pub use counters::{CounterSnapshot, Counters, RankCounters};
 pub use endpoint::{Endpoint, NbHandle};
 pub use error::FabricError;
 pub use faults::{FaultKind, FaultParseError, FaultPlan, Faults};
@@ -68,6 +69,7 @@ pub use mc::{McGate, McObj, McOp};
 pub use metrics::{snapshot as metrics_snapshot, MetricsSnapshot};
 pub use notify::{notify_match, NotifyHub, NotifyQueue, NotifyRecord, NOTIFY_ANY};
 pub use profile::{ProfileMode, Profiler};
+pub use segcache::SegRef;
 pub use segment::{SegKey, Segment};
 pub use shadow::{
     kinds_commute, AccessKind, AccessRecord, LockCtx, RaceClass, RaceViolation, RacecheckMode,
@@ -85,13 +87,18 @@ use std::sync::Arc;
 /// The fabric: the shared "network + NIC registry" that all ranks attach to.
 ///
 /// Holds the table of registered memory segments (the RDMA *memory
-/// registration* state), the cost model, the node topology and global
+/// registration* state), the cost model, the node topology and the per-rank
 /// operation counters. One `Fabric` is shared (via `Arc`) by every rank of a
 /// job; per-rank state lives in [`Endpoint`].
+///
+/// Nothing here is written on the steady-state op path: endpoints resolve
+/// keys through their own segment cache (validated by [`Fabric::epoch`])
+/// and count into their rank's own [`RankCounters`] block.
 pub struct Fabric {
     model: CostModel,
     topo: Topology,
     segs: RwLock<HashMap<SegKey, Arc<Segment>>>,
+    epoch: RegistryEpoch,
     next_id: AtomicU64,
     counters: Counters,
     telemetry: Telemetry,
@@ -173,8 +180,9 @@ impl Fabric {
             model,
             topo: Topology::new(p, node_size),
             segs: RwLock::new(HashMap::new()),
+            epoch: RegistryEpoch(AtomicU64::new(0)),
             next_id: AtomicU64::new(1),
-            counters: Counters::default(),
+            counters: Counters::new(p),
             telemetry,
             faults,
             batch_default: AtomicBool::new(batch_from_env()),
@@ -199,7 +207,8 @@ impl Fabric {
         &self.topo
     }
 
-    /// Global operation counters (for scalability assertions in tests).
+    /// Operation counters (for scalability assertions in tests): one block
+    /// per rank, summed by [`Counters::snapshot`].
     pub fn counters(&self) -> &Counters {
         &self.counters
     }
@@ -386,12 +395,28 @@ impl Fabric {
         self.next_id.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Deregister a segment. Remote accesses after this fail.
+    /// Deregister a segment. Remote accesses after this fail: the registry
+    /// epoch advances, so every endpoint's segment cache drops its entries
+    /// before its next op.
     pub fn deregister(&self, key: SegKey) {
         self.segs.write().remove(&key);
+        // After the removal: a cache refilled under the new epoch can only
+        // see the registry without `key`.
+        self.epoch.0.fetch_add(1, Ordering::Release);
     }
 
-    /// Resolve a key to its segment (what the NIC does on every request).
+    /// The registry epoch: advanced by every [`Fabric::deregister`]. A
+    /// cached key→segment mapping filled under epoch `e` is valid while
+    /// the epoch still reads `e` (registration never invalidates one: it
+    /// only adds keys). One acquire load of a line written only on
+    /// deregistration.
+    #[inline]
+    pub fn epoch(&self) -> u64 {
+        self.epoch.0.load(Ordering::Acquire)
+    }
+
+    /// Resolve a key to its segment through the shared registry (what the
+    /// NIC does on a translation miss; endpoints cache the result).
     pub fn resolve(&self, key: SegKey) -> Result<Arc<Segment>, FabricError> {
         self.segs.read().get(&key).cloned().ok_or(FabricError::UnknownKey(key))
     }
@@ -410,6 +435,11 @@ impl Fabric {
         }
     }
 }
+
+/// The registry epoch, alone on its cache lines so the per-op load never
+/// shares a line with anything written.
+#[repr(align(128))]
+struct RegistryEpoch(AtomicU64);
 
 /// `FOMPI_BATCH` switch: `1`/`true`/`on` arms issue-side batching for every
 /// endpoint of fabrics built afterwards.

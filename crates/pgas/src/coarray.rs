@@ -93,12 +93,12 @@ impl Coarray {
 
     /// Local read.
     pub fn read_local(&self, off: usize, dst: &mut [u8]) {
-        self.ep.fabric().resolve(self.key(self.ep.rank())).expect("own image").read(off, dst);
+        self.ep.segment(self.key(self.ep.rank())).expect("own image").read(off, dst);
     }
 
     /// Local write.
     pub fn write_local(&self, off: usize, src: &[u8]) {
-        self.ep.fabric().resolve(self.key(self.ep.rank())).expect("own image").write(off, src);
+        self.ep.segment(self.key(self.ep.rank())).expect("own image").write(off, src);
     }
 }
 

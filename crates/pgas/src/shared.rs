@@ -55,6 +55,14 @@ impl SharedArray {
         }
     }
 
+    /// Collective: release every thread's chunk (`upc_all_free`). Waits
+    /// for all threads first, so no access is still in flight; any access
+    /// through another handle afterwards fails with an unknown key.
+    pub fn free(self, ctx: &RankCtx) {
+        ctx.barrier();
+        ctx.fabric().deregister(self.key(ctx.rank()));
+    }
+
     fn key(&self, thread: u32) -> SegKey {
         SegKey { rank: thread, id: self.id }
     }
@@ -115,14 +123,12 @@ impl SharedArray {
 
     /// Local chunk read.
     pub fn read_local(&self, off: usize, dst: &mut [u8]) {
-        let mut tmp = dst.to_vec();
-        self.ep.fabric().resolve(self.key(self.ep.rank())).expect("own chunk").read(off, &mut tmp);
-        dst.copy_from_slice(&tmp);
+        self.ep.segment(self.key(self.ep.rank())).expect("own chunk").read(off, dst);
     }
 
     /// Local chunk write.
     pub fn write_local(&self, off: usize, src: &[u8]) {
-        self.ep.fabric().resolve(self.key(self.ep.rank())).expect("own chunk").write(off, src);
+        self.ep.segment(self.key(self.ep.rank())).expect("own chunk").write(off, src);
     }
 
     /// The endpoint (clock access for benchmarks).

@@ -28,7 +28,7 @@
 use crate::RmcConfig;
 use fompi::{FompiError, MpiOp, Result, Win, ANY_SOURCE};
 use fompi_fabric::telemetry::EventKind;
-use fompi_fabric::{Endpoint, FabricError};
+use fompi_fabric::{Endpoint, FabricError, NotifyRecord};
 use fompi_runtime::RankCtx;
 use std::rc::Rc;
 
@@ -87,6 +87,10 @@ pub struct RpcServer {
     /// Per-client reply corr at the last flush (the reply-slot reuse
     /// fence — see [`RpcServer::reply`]).
     flushed_at: Vec<u64>,
+    /// Reply credits dequeued (and counted in `rep_credits`) but not yet
+    /// joined: they are joined just before the next request, see
+    /// [`RpcServer::try_recv`].
+    unjoined: Vec<NotifyRecord>,
 }
 
 /// One request the server pulled off the wire.
@@ -133,6 +137,7 @@ pub fn rpc(ctx: &RankCtx, server: u32, clients: &[u32], cfg: &RmcConfig) -> Resu
             next_corr: vec![0; clients.len()],
             rep_credits: vec![cfg.slots as u64; clients.len()],
             flushed_at: vec![0; clients.len()],
+            unjoined: Vec::new(),
         })))
     } else if let Some(i) = clients.iter().position(|&c| c == me) {
         Ok(Some(RpcEnd::Client(RpcClient {
@@ -303,14 +308,20 @@ impl RpcServer {
             .ok_or(FompiError::InvalidEpoch("rpc record from a rank that is not a client"))
     }
 
-    /// One nonblocking pass: absorb reply credits, then probe each client
-    /// for its next in-order request. Returns the first request found.
+    /// One nonblocking pass: dequeue reply credits, then probe each client
+    /// for its next in-order request. Returns the first request found,
+    /// after joining every dequeued credit.
     pub fn try_recv(&mut self) -> Result<Option<RpcRequest>> {
         let t0 = self.ep.clock().now();
-        while let Some(rec) = self.win.test_notify(ANY_SOURCE, REP_CREDIT_TAG)? {
-            let i = self.client_index(rec.source)?;
-            self.rep_credits[i] += 1;
-        }
+        self.poll(t0)
+    }
+
+    /// One matching pass; a found request's trace span starts at `t0`.
+    fn poll(&mut self, t0: f64) -> Result<Option<RpcRequest>> {
+        // Credits are dequeued as they come but joined only when a request
+        // is found, all before it. Which pass dequeues a credit depends on
+        // the schedule; the credits a client sent before a request do not.
+        self.take_credits(true)?;
         for i in 0..self.clients.len() {
             let client = self.clients[i];
             // Clients issue correlation ids in order, so the next request
@@ -318,7 +329,15 @@ impl RpcServer {
             // match, no wildcard needed.
             let corr = self.next_corr[i];
             let tag = REQ_TAG_BASE | (corr as u32 & 0xFFFF);
-            if let Some(rec) = self.win.test_notify(client, tag)? {
+            if let Some(rec) = self.win.take_notify(client, tag, true) {
+                // The search may have stashed credits on its way: they
+                // preceded the request in the client's FIFO, so they are
+                // joined before it too.
+                self.take_credits(false)?;
+                for credit in self.unjoined.drain(..) {
+                    self.win.consume_notify(&credit);
+                }
+                self.win.consume_notify(&rec);
                 let len = rec.bytes as usize;
                 assert!(len <= self.slot_bytes, "request exceeds the rpc slot size");
                 let slot = (corr % self.slots as u64) as usize;
@@ -335,12 +354,27 @@ impl RpcServer {
         Ok(None)
     }
 
+    /// Dequeue queued reply credits (only already-stashed ones unless
+    /// `ring`) without joining them.
+    fn take_credits(&mut self, ring: bool) -> Result<()> {
+        while let Some(rec) = self.win.take_notify(ANY_SOURCE, REP_CREDIT_TAG, ring) {
+            let i = self.client_index(rec.source)?;
+            self.rep_credits[i] += 1;
+            self.unjoined.push(rec);
+        }
+        Ok(())
+    }
+
     /// Block until a request arrives (bounded; a starved server panics
     /// like a starved `wait_notify` rather than hang silently).
     pub fn recv(&mut self) -> Result<RpcRequest> {
+        // The span covers the whole wait, like the channel ends' `recv`:
+        // starting it per pass would make its length depend on which pass
+        // absorbed the reply credits, i.e. on the schedule.
+        let t0 = self.ep.clock().now();
         let mut spins = 0u64;
         loop {
-            if let Some(req) = self.try_recv()? {
+            if let Some(req) = self.poll(t0)? {
                 return Ok(req);
             }
             // Model checker: a server with an empty ring is blocked, not

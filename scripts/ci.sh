@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tiered local CI gate. Run from anywhere in the repo.
 #
-#   scripts/ci.sh             # the full gate: lint → test → determinism → perfgate → fleet → mc
+#   scripts/ci.sh             # the full gate: lint → test → determinism → perfgate → fleet → mc → wall
 #   scripts/ci.sh quick       # fmt + clippy + unit tests only (pre-push tier)
 #   scripts/ci.sh lint        # fmt --check + clippy -D warnings
 #   scripts/ci.sh test        # workspace unit/integration tests
@@ -9,6 +9,7 @@
 #   scripts/ci.sh perfgate    # virtual-time perf-regression gate
 #   scripts/ci.sh fleet       # fleet smoke sweep: summary byte-diff + gate + gate self-test
 #   scripts/ci.sh mc          # model checker: exhaustive runs + mutation gate + summary diff
+#   scripts/ci.sh wall        # wall-clock benchmark smoke: every workload runs and passes its checks
 #   scripts/ci.sh sanitize    # ThreadSanitizer + Miri pass (needs nightly)
 #   scripts/ci.sh nightly     # chaos fleet sweep + long soak (SOAK_SECONDS, default 600)
 #   scripts/ci.sh --fix       # apply rustfmt instead of checking
@@ -199,6 +200,16 @@ stage_mc() {
     git diff --exit-code -- results/mc_summary.csv
 }
 
+stage_wall() {
+    # The wall-clock benchmark (wallbench/, its own package) at smoke
+    # size: every gated workload, untraced and traced, must emit exactly
+    # BENCHMARK.json's metric names and units and pass its output checks
+    # (kv_zipf's conservation check included); bad arguments must exit
+    # non-zero. Timings are host-dependent and not compared here.
+    echo "== wall: wallbench smoke tests =="
+    "${SCRUB[@]}" cargo test --offline --release --manifest-path wallbench/Cargo.toml
+}
+
 stage_sanitize() {
     # Opt-in because it needs a nightly toolchain; each tool degrades to a
     # loud skip when unavailable so the stage is safe to run anywhere.
@@ -259,7 +270,7 @@ stage_nightly() {
 
 # ---------------------------------------------------------------- driver
 usage() {
-    sed -n '2,15p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '2,16p' "$0" | sed 's/^# \{0,1\}//'
 }
 
 mode="${1:-all}"
@@ -294,6 +305,9 @@ fleet)
 mc)
     run_stage mc stage_mc
     ;;
+wall)
+    run_stage wall stage_wall
+    ;;
 sanitize)
     run_stage sanitize stage_sanitize
     ;;
@@ -309,6 +323,7 @@ all)
     run_stage perfgate stage_perfgate
     run_stage fleet stage_fleet
     run_stage mc stage_mc
+    run_stage wall stage_wall
     timing_summary
     echo "CI gate passed."
     ;;
