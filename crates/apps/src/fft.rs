@@ -65,44 +65,165 @@ impl std::ops::Sub for C64 {
     }
 }
 
+/// A radix-2 schedule for one transform length and direction: the
+/// bit-reversal swaps and every stage's twiddle factors. Each stage's
+/// twiddles come from the recurrence `w ← w·wlen` starting at `(1, 0)`, so
+/// a plan reproduces the textbook loop's values bit for bit.
+///
+/// Both runners execute the stages two at a time: stages `h` and `2h`
+/// only combine elements within one group of four (`k`, `k+h`, `k+2h`,
+/// `k+3h`), so each group is loaded once, put through its four radix-2
+/// butterflies in stage order, and stored once. Every element sees the
+/// same operations in the same order as the stage-by-stage loop.
+struct Plan {
+    n: usize,
+    inverse: bool,
+    /// Index pairs `(i, j)`, `i < j`, exchanged by the bit reversal.
+    swaps: Vec<(usize, usize)>,
+    /// The stage of half-length `h` keeps its `h` twiddles at
+    /// `tw[h - 1..2h - 1]`.
+    tw: Vec<C64>,
+}
+
+impl Plan {
+    fn new(n: usize, inverse: bool) -> Plan {
+        assert!(n.is_power_of_two(), "FFT length must be a power of two");
+        let bits = n.trailing_zeros();
+        let swaps = (0..n)
+            .map(|i| (i, (i as u64).reverse_bits().checked_shr(64 - bits).unwrap_or(0) as usize))
+            .filter(|&(i, j)| i < j)
+            .collect();
+        let sign = if inverse { 1.0 } else { -1.0 };
+        let mut tw = Vec::with_capacity(n - 1);
+        let mut len = 2;
+        while len <= n {
+            let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
+            let wlen = C64::new(ang.cos(), ang.sin());
+            let mut w = C64::new(1.0, 0.0);
+            for _ in 0..len / 2 {
+                tw.push(w);
+                w = w * wlen;
+            }
+            len <<= 1;
+        }
+        Plan { n, inverse, swaps, tw }
+    }
+
+    /// Twiddles of the stage with half-length `h`.
+    fn stage(&self, h: usize) -> &[C64] {
+        &self.tw[h - 1..2 * h - 1]
+    }
+
+    /// Twiddle triples `(w, w0, w1)` of the stage pair `(h, 2h)`, one per
+    /// group offset `k` (see [`radix4`]).
+    fn pass(&self, h: usize) -> impl Iterator<Item = ((&C64, &C64), &C64)> + Clone {
+        let (w0, w1) = self.stage(2 * h).split_at(h);
+        self.stage(h).iter().zip(w0).zip(w1)
+    }
+
+    /// Transform one contiguous sequence of length `n` in place.
+    fn run(&self, data: &mut [C64]) {
+        assert_eq!(data.len(), self.n);
+        for &(i, j) in &self.swaps {
+            data.swap(i, j);
+        }
+        let mut h = 1;
+        while 4 * h <= self.n {
+            let tw = self.pass(h);
+            for block in data.chunks_exact_mut(4 * h) {
+                let (q01, q23) = block.split_at_mut(2 * h);
+                let ((q0, q1), (q2, q3)) = (q01.split_at_mut(h), q23.split_at_mut(h));
+                let quads = q0.iter_mut().zip(q1).zip(q2).zip(q3);
+                for ((((x0, x1), x2), x3), ((&w, &w0), &w1)) in quads.zip(tw.clone()) {
+                    radix4(x0, x1, x2, x3, w, w0, w1);
+                }
+            }
+            h *= 4;
+        }
+        if 2 * h == self.n {
+            let (lo, hi) = data.split_at_mut(h);
+            for ((u, v), &w) in lo.iter_mut().zip(hi).zip(self.stage(h)) {
+                butterfly(u, v, w);
+            }
+        }
+        self.scale(data);
+    }
+
+    /// Transform every column of `data`, read as `n` contiguous rows of
+    /// `row` elements: the sequence for column `c` is `data[k·row + c]`.
+    /// The bit reversal swaps whole rows and each butterfly runs along a
+    /// row, so every column sees exactly the arithmetic of [`Plan::run`].
+    fn run_rows(&self, data: &mut [C64], row: usize) {
+        assert_eq!(data.len(), self.n * row);
+        for &(i, j) in &self.swaps {
+            let (a, b) = data.split_at_mut(j * row);
+            a[i * row..(i + 1) * row].swap_with_slice(&mut b[..row]);
+        }
+        let mut h = 1;
+        while 4 * h <= self.n {
+            let tw = self.pass(h);
+            for block in data.chunks_exact_mut(4 * h * row) {
+                let (q01, q23) = block.split_at_mut(2 * h * row);
+                let ((q0, q1), (q2, q3)) = (q01.split_at_mut(h * row), q23.split_at_mut(h * row));
+                let rows = q0.chunks_exact_mut(row).zip(q1.chunks_exact_mut(row));
+                let rows = rows.zip(q2.chunks_exact_mut(row)).zip(q3.chunks_exact_mut(row));
+                for ((((r0, r1), r2), r3), ((&w, &w0), &w1)) in rows.zip(tw.clone()) {
+                    for (((x0, x1), x2), x3) in r0.iter_mut().zip(r1).zip(r2).zip(r3) {
+                        radix4(x0, x1, x2, x3, w, w0, w1);
+                    }
+                }
+            }
+            h *= 4;
+        }
+        if 2 * h == self.n {
+            let (lo, hi) = data.split_at_mut(h * row);
+            let rows = lo.chunks_exact_mut(row).zip(hi.chunks_exact_mut(row));
+            for ((ru, rv), &w) in rows.zip(self.stage(h)) {
+                for (u, v) in ru.iter_mut().zip(rv) {
+                    butterfly(u, v, w);
+                }
+            }
+        }
+        self.scale(data);
+    }
+
+    /// The inverse transform's 1/n normalisation.
+    fn scale(&self, data: &mut [C64]) {
+        if self.inverse {
+            let inv = 1.0 / self.n as f64;
+            for d in data {
+                d.re *= inv;
+                d.im *= inv;
+            }
+        }
+    }
+}
+
+/// One radix-2 butterfly: `(u, v) ← (u + v·w, u − v·w)`.
+#[inline(always)]
+fn butterfly(u: &mut C64, v: &mut C64, w: C64) {
+    let a = *u;
+    let b = *v * w;
+    *u = a + b;
+    *v = a - b;
+}
+
+/// Stages `h` (twiddle `w`) and `2h` (twiddles `w0`, `w1`) on one group of
+/// four, in registers.
+#[inline(always)]
+fn radix4(x0: &mut C64, x1: &mut C64, x2: &mut C64, x3: &mut C64, w: C64, w0: C64, w1: C64) {
+    let (mut a0, mut a1, mut a2, mut a3) = (*x0, *x1, *x2, *x3);
+    butterfly(&mut a0, &mut a1, w);
+    butterfly(&mut a2, &mut a3, w);
+    butterfly(&mut a0, &mut a2, w0);
+    butterfly(&mut a1, &mut a3, w1);
+    (*x0, *x1, *x2, *x3) = (a0, a1, a2, a3);
+}
+
 /// In-place iterative radix-2 Cooley-Tukey FFT. `data.len()` must be a
 /// power of two.
 pub fn fft_1d(data: &mut [C64], inverse: bool) {
-    let n = data.len();
-    assert!(n.is_power_of_two(), "FFT length must be a power of two");
-    // Bit-reversal permutation.
-    let bits = n.trailing_zeros();
-    for i in 0..n {
-        let j = (i as u32).reverse_bits() >> (32 - bits);
-        let j = j as usize;
-        if i < j {
-            data.swap(i, j);
-        }
-    }
-    let sign = if inverse { 1.0 } else { -1.0 };
-    let mut len = 2;
-    while len <= n {
-        let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
-        let wlen = C64::new(ang.cos(), ang.sin());
-        for start in (0..n).step_by(len) {
-            let mut w = C64::new(1.0, 0.0);
-            for k in 0..len / 2 {
-                let u = data[start + k];
-                let v = data[start + k + len / 2] * w;
-                data[start + k] = u + v;
-                data[start + k + len / 2] = u - v;
-                w = w * wlen;
-            }
-        }
-        len <<= 1;
-    }
-    if inverse {
-        let inv = 1.0 / n as f64;
-        for d in data {
-            d.re *= inv;
-            d.im *= inv;
-        }
-    }
+    Plan::new(data.len(), inverse).run(data);
 }
 
 /// Naive O(n²) DFT for verification.
@@ -172,37 +293,17 @@ pub fn fft3d_serial(cfg: &FftConfig) -> Vec<C64> {
             }
         }
     }
+    let plan = Plan::new(n, false);
     // x direction.
-    for z in 0..n {
-        for y in 0..n {
-            fft_1d(&mut grid[(z * n + y) * n..(z * n + y) * n + n], false);
-        }
+    for row in grid.chunks_exact_mut(n) {
+        plan.run(row);
     }
-    // y direction.
-    let mut col = vec![C64::default(); n];
-    for z in 0..n {
-        for x in 0..n {
-            for y in 0..n {
-                col[y] = grid[(z * n + y) * n + x];
-            }
-            fft_1d(&mut col, false);
-            for y in 0..n {
-                grid[(z * n + y) * n + x] = col[y];
-            }
-        }
+    // y direction: each z-plane as n rows of n.
+    for plane in grid.chunks_exact_mut(n * n) {
+        plan.run_rows(plane, n);
     }
-    // z direction.
-    for y in 0..n {
-        for x in 0..n {
-            for z in 0..n {
-                col[z] = grid[(z * n + y) * n + x];
-            }
-            fft_1d(&mut col, false);
-            for z in 0..n {
-                grid[(z * n + y) * n + x] = col[z];
-            }
-        }
-    }
+    // z direction: the grid as n rows of n·n.
+    plan.run_rows(&mut grid, n * n);
     grid
 }
 
@@ -214,6 +315,8 @@ struct Slab {
     nzl: usize,
     nxl: usize,
     me: usize,
+    /// Forward plan for length `n`, shared by all three axes.
+    plan: Plan,
 }
 
 impl Slab {
@@ -221,7 +324,7 @@ impl Slab {
         let n = cfg.n;
         let p = ctx.size();
         assert!(n.is_multiple_of(p), "n must be divisible by p");
-        Slab { n, p, nzl: n / p, nxl: n / p, me: ctx.rank() as usize }
+        Slab { n, p, nzl: n / p, nxl: n / p, me: ctx.rank() as usize, plan: Plan::new(n, false) }
     }
 
     /// Fill this rank's z-slab with input data (layout `[zl][y][x]`).
@@ -243,77 +346,66 @@ impl Slab {
     fn fft_plane(&self, ctx: &RankCtx, data: &mut [C64], zl: usize) {
         let n = self.n;
         let plane = &mut data[zl * n * n..(zl + 1) * n * n];
-        for y in 0..n {
-            fft_1d(&mut plane[y * n..y * n + n], false);
+        for row in plane.chunks_exact_mut(n) {
+            self.plan.run(row);
         }
-        let mut col = vec![C64::default(); n];
-        for x in 0..n {
-            for y in 0..n {
-                col[y] = plane[y * n + x];
-            }
-            fft_1d(&mut col, false);
-            for y in 0..n {
-                plane[y * n + x] = col[y];
-            }
-        }
+        self.plan.run_rows(plane, n);
         ctx.ep().charge_flops(2.0 * n as f64 * fft_flops(n));
     }
 
-    /// Pack plane `zl`'s chunk destined for target `t` (bytes).
-    fn pack_chunk(&self, data: &[C64], zl: usize, t: usize) -> Vec<u8> {
-        let n = self.n;
-        let nxl = self.nxl;
-        let mut out = Vec::with_capacity(n * nxl * 16);
-        for y in 0..n {
-            for xl in 0..nxl {
-                let c = data[(zl * n + y) * n + t * nxl + xl];
-                out.extend_from_slice(&c.re.to_le_bytes());
-                out.extend_from_slice(&c.im.to_le_bytes());
+    /// Bytes of one plane chunk: one z-plane of one x-slab.
+    fn chunk_bytes(&self) -> usize {
+        self.n * self.nxl * 16
+    }
+
+    /// Pack plane `zl`'s chunk destined for target `t` into `out`
+    /// (`chunk_bytes()` long), layout `[y][xl]`.
+    fn pack(&self, data: &[C64], zl: usize, t: usize, out: &mut [u8]) {
+        let (n, nxl) = (self.n, self.nxl);
+        let plane = &data[zl * n * n..(zl + 1) * n * n];
+        for (row, out) in plane.chunks_exact(n).zip(out.chunks_exact_mut(nxl * 16)) {
+            for (c, b) in row[t * nxl..(t + 1) * nxl].iter().zip(out.chunks_exact_mut(16)) {
+                b[..8].copy_from_slice(&c.re.to_le_bytes());
+                b[8..].copy_from_slice(&c.im.to_le_bytes());
             }
         }
-        out
     }
 
     /// Byte offset of plane `z` in the x-slab receive buffer.
     fn slab_plane_off(&self, z: usize) -> usize {
-        z * self.n * self.nxl * 16
+        z * self.chunk_bytes()
     }
 
     /// Total x-slab bytes.
     fn slab_bytes(&self) -> usize {
-        self.n * self.n * self.nxl * 16
+        self.n * self.chunk_bytes()
     }
 
-    /// Decode the x-slab byte buffer into complex values.
-    fn decode_slab(&self, bytes: &[u8]) -> Vec<C64> {
-        bytes
-            .chunks_exact(16)
-            .map(|b| {
-                C64::new(
-                    f64::from_le_bytes(b[0..8].try_into().unwrap()),
-                    f64::from_le_bytes(b[8..16].try_into().unwrap()),
-                )
-            })
-            .collect()
+    /// Read the received x-slab plane by plane through `buf` (one chunk
+    /// long) and decode it into `slab`, which must hold `n·n·nxl` values.
+    fn unpack(&self, mut read: impl FnMut(usize, &mut [u8]), buf: &mut [u8], slab: &mut [C64]) {
+        for (z, plane) in slab.chunks_exact_mut(self.n * self.nxl).enumerate() {
+            read(self.slab_plane_off(z), buf);
+            decode(buf, plane);
+        }
     }
 
     /// Final z-direction FFT over the x-slab; charge flops.
     fn fft_z(&self, ctx: &RankCtx, slab: &mut [C64]) {
         let n = self.n;
         let nxl = self.nxl;
-        let mut col = vec![C64::default(); n];
-        for y in 0..n {
-            for xl in 0..nxl {
-                for z in 0..n {
-                    col[z] = slab[(z * n + y) * nxl + xl];
-                }
-                fft_1d(&mut col, false);
-                for z in 0..n {
-                    slab[(z * n + y) * nxl + xl] = col[z];
-                }
-            }
-        }
+        self.plan.run_rows(slab, n * nxl);
         ctx.ep().charge_flops(n as f64 * nxl as f64 * fft_flops(n));
+    }
+}
+
+/// Decode little-endian (re, im) byte pairs into `out`.
+fn decode(bytes: &[u8], out: &mut [C64]) {
+    for (b, c) in bytes.chunks_exact(16).zip(out) {
+        *c = C64::new(
+            f64::from_le_bytes(b[..8].try_into().expect("8-byte re")),
+            f64::from_le_bytes(b[8..].try_into().expect("8-byte im")),
+        );
     }
 }
 
@@ -324,84 +416,64 @@ impl Slab {
 /// alltoall runs after all planes.
 pub fn run_mpi1(ctx: &RankCtx, comm: &Comm, cfg: &FftConfig, overlap: bool) -> FftResult {
     let s = Slab::new(ctx, cfg);
-    let (n, p, nzl, nxl, me) = (s.n, s.p, s.nzl, s.nxl, s.me);
+    let (p, nzl, me) = (s.p, s.nzl, s.me);
+    let chunk = s.chunk_bytes();
     let mut data = s.load_input(cfg);
     ctx.barrier();
     let t0 = ctx.now();
+    // The x-slab in wire format: plane z at `slab_plane_off(z)`.
     let mut slab_bytes = vec![0u8; s.slab_bytes()];
     if overlap {
         const FFT_TAG: u32 = 0xFF7_0000;
-        // Pre-post receives for every incoming plane chunk.
-        let chunk = n * nxl * 16;
+        let mut buf = vec![0u8; chunk];
+        // Pre-post receives for every incoming plane chunk: plane z
+        // comes from rank z / nzl.
         let mut reqs = Vec::new();
-        {
-            let mut rest: &mut [u8] = &mut slab_bytes;
-            let mut chunks: Vec<&mut [u8]> = Vec::new();
-            while !rest.is_empty() {
-                let (a, b) = rest.split_at_mut(chunk);
-                chunks.push(a);
-                rest = b;
+        for (z, slot) in slab_bytes.chunks_exact_mut(chunk).enumerate() {
+            let src = (z / nzl) as u32;
+            if src as usize != me {
+                reqs.push(comm.irecv(slot, src, FFT_TAG + z as u32).expect("irecv"));
             }
-            // chunks[z] is plane z's slot; plane z comes from rank z / nzl.
-            for (z, buf) in chunks.into_iter().enumerate() {
-                let src = (z / nzl) as u32;
-                if src as usize == me {
-                    continue;
+        }
+        for zl in 0..nzl {
+            s.fft_plane(ctx, &mut data, zl);
+            let z = me * nzl + zl;
+            for t in 0..p {
+                if t == me {
+                    continue; // self chunk packed after the receives complete
                 }
-                reqs.push(comm.irecv(buf, src, FFT_TAG + z as u32).expect("irecv"));
+                s.pack(&data, zl, t, &mut buf);
+                comm.isend(&buf, t as u32, FFT_TAG + z as u32).expect("isend");
             }
-            for zl in 0..nzl {
-                s.fft_plane(ctx, &mut data, zl);
-                let z = me * nzl + zl;
-                for t in 0..p {
-                    if t == me {
-                        continue; // self chunk copied after the borrows end
-                    }
-                    let bytes = s.pack_chunk(&data, zl, t);
-                    comm.isend(&bytes, t as u32, FFT_TAG + z as u32).expect("isend");
-                }
-            }
-            for r in reqs {
-                r.wait(ctx.ep());
-            }
+        }
+        for r in reqs {
+            r.wait(ctx.ep());
         }
         // Local chunks (self → self).
         for zl in 0..nzl {
-            let z = me * nzl + zl;
-            let bytes = s.pack_chunk(&data, zl, me);
-            slab_bytes[s.slab_plane_off(z)..s.slab_plane_off(z) + bytes.len()]
-                .copy_from_slice(&bytes);
+            let off = s.slab_plane_off(me * nzl + zl);
+            s.pack(&data, zl, me, &mut slab_bytes[off..off + chunk]);
         }
     } else {
-        // Bulk variant: compute all planes, then one alltoall.
+        // Bulk variant: compute all planes, then one alltoall. Block t of
+        // the send buffer holds target t's planes in z order.
         for zl in 0..nzl {
             s.fft_plane(ctx, &mut data, zl);
         }
-        let block = nzl * n * nxl * 16;
-        let mut send = vec![0u8; p * block];
-        for t in 0..p {
-            for zl in 0..nzl {
-                let bytes = s.pack_chunk(&data, zl, t);
-                let off = t * block + zl * n * nxl * 16;
-                send[off..off + bytes.len()].copy_from_slice(&bytes);
+        let mut send = vec![0u8; s.slab_bytes()];
+        for (t, block) in send.chunks_exact_mut(nzl * chunk).enumerate() {
+            for (zl, out) in block.chunks_exact_mut(chunk).enumerate() {
+                s.pack(&data, zl, t, out);
             }
         }
-        let mut recv = vec![0u8; p * block];
-        comm.alltoall(&send, &mut recv, block);
-        // recv[s] holds source s's planes z = s*nzl + zl.
-        for src in 0..p {
-            for zl in 0..nzl {
-                let z = src * nzl + zl;
-                let from = src * block + zl * n * nxl * 16;
-                let to = s.slab_plane_off(z);
-                slab_bytes[to..to + n * nxl * 16].copy_from_slice(&recv[from..from + n * nxl * 16]);
-            }
-        }
+        // Block src of the receive buffer holds planes z = src·nzl + zl,
+        // which is already the x-slab's plane order.
+        comm.alltoall(&send, &mut slab_bytes, nzl * chunk);
     }
-    let mut slab = s.decode_slab(&slab_bytes);
-    s.fft_z(ctx, &mut slab);
+    decode(&slab_bytes, &mut data);
+    s.fft_z(ctx, &mut data);
     ctx.barrier();
-    FftResult { time_ns: ctx.now() - t0, local_out: slab }
+    FftResult { time_ns: ctx.now() - t0, local_out: data }
 }
 
 // -------------------------------------------------------------------- RMA
@@ -413,37 +485,33 @@ pub fn run_rma(ctx: &RankCtx, cfg: &FftConfig) -> FftResult {
     let (p, nzl, me) = (s.p, s.nzl, s.me);
     let win = Win::allocate(ctx, s.slab_bytes(), 1).expect("fft window");
     let mut data = s.load_input(cfg);
+    let mut buf = vec![0u8; s.chunk_bytes()];
     win.fence().expect("fence open");
     let t0 = ctx.now();
-    let mut local_chunks = Vec::with_capacity(nzl);
     for zl in 0..nzl {
         s.fft_plane(ctx, &mut data, zl);
-        let z = me * nzl + zl;
+        let off = s.slab_plane_off(me * nzl + zl);
         // Communicate this plane immediately (overlapped with the next
         // plane's compute).
         for t in 0..p {
-            let bytes = s.pack_chunk(&data, zl, t);
+            s.pack(&data, zl, t, &mut buf);
             if t == me {
-                local_chunks.push((z, bytes));
+                win.write_local(off, &buf);
             } else {
-                win.put(&bytes, t as u32, s.slab_plane_off(z)).expect("plane put");
+                win.put(&buf, t as u32, off).expect("plane put");
             }
         }
     }
-    for (z, bytes) in local_chunks {
-        win.write_local(s.slab_plane_off(z), &bytes);
-    }
     win.fence().expect("fence close");
-    let mut slab_bytes = vec![0u8; s.slab_bytes()];
-    win.read_local(0, &mut slab_bytes);
-    let mut slab = s.decode_slab(&slab_bytes);
-    s.fft_z(ctx, &mut slab);
+    // The z-slab is fully sent: its storage becomes the x-slab.
+    s.unpack(|off, b| win.read_local(off, b), &mut buf, &mut data);
+    s.fft_z(ctx, &mut data);
     ctx.barrier();
     let time_ns = ctx.now() - t0;
     // After the timing: freeing is collective, and the slab would
     // otherwise stay registered until the fabric drops.
     win.free(ctx);
-    FftResult { time_ns, local_out: slab }
+    FftResult { time_ns, local_out: data }
 }
 
 // -------------------------------------------------------------------- UPC
@@ -454,29 +522,28 @@ pub fn run_upc(ctx: &RankCtx, cfg: &FftConfig) -> FftResult {
     let (p, nzl, me) = (s.p, s.nzl, s.me);
     let arr = SharedArray::all_alloc(ctx, s.slab_bytes());
     let mut data = s.load_input(cfg);
+    let mut buf = vec![0u8; s.chunk_bytes()];
     arr.barrier();
     let t0 = ctx.now();
     for zl in 0..nzl {
         s.fft_plane(ctx, &mut data, zl);
-        let z = me * nzl + zl;
+        let off = s.slab_plane_off(me * nzl + zl);
         for t in 0..p {
-            let bytes = s.pack_chunk(&data, zl, t);
+            s.pack(&data, zl, t, &mut buf);
             if t == me {
-                arr.write_local(s.slab_plane_off(z), &bytes);
+                arr.write_local(off, &buf);
             } else {
-                arr.memput(t as u32, s.slab_plane_off(z), &bytes);
+                arr.memput(t as u32, off, &buf);
             }
         }
     }
     arr.barrier();
-    let mut slab_bytes = vec![0u8; s.slab_bytes()];
-    arr.read_local(0, &mut slab_bytes);
-    let mut slab = s.decode_slab(&slab_bytes);
-    s.fft_z(ctx, &mut slab);
+    s.unpack(|off, b| arr.read_local(off, b), &mut buf, &mut data);
+    s.fft_z(ctx, &mut data);
     ctx.barrier();
     let time_ns = ctx.now() - t0;
     arr.free(ctx);
-    FftResult { time_ns, local_out: slab }
+    FftResult { time_ns, local_out: data }
 }
 
 #[cfg(test)]
@@ -505,6 +572,105 @@ mod tests {
         fft_1d(&mut w, true);
         for (a, b) in w.iter().zip(&data) {
             assert!((a.re - b.re).abs() < 1e-9 && (a.im - b.im).abs() < 1e-9);
+        }
+    }
+
+    fn same_bits(a: &[C64], b: &[C64]) -> bool {
+        a.len() == b.len()
+            && a.iter()
+                .zip(b)
+                .all(|(x, y)| x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits())
+    }
+
+    fn signal(len: usize, salt: f64) -> Vec<C64> {
+        (0..len)
+            .map(|i| C64::new((i as f64 * 0.7 + salt).sin(), (i as f64 * 1.3).cos() - salt))
+            .collect()
+    }
+
+    /// The stage-by-stage radix-2 loop with an on-the-fly twiddle
+    /// recurrence, which the plan must reproduce bit for bit.
+    fn textbook_fft(data: &mut [C64], inverse: bool) {
+        let n = data.len();
+        let bits = n.trailing_zeros();
+        for i in 0..n {
+            let j = (i as u32).reverse_bits().checked_shr(32 - bits).unwrap_or(0) as usize;
+            if i < j {
+                data.swap(i, j);
+            }
+        }
+        let sign = if inverse { 1.0 } else { -1.0 };
+        let mut len = 2;
+        while len <= n {
+            let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
+            let wlen = C64::new(ang.cos(), ang.sin());
+            for start in (0..n).step_by(len) {
+                let mut w = C64::new(1.0, 0.0);
+                for k in 0..len / 2 {
+                    let u = data[start + k];
+                    let v = data[start + k + len / 2] * w;
+                    data[start + k] = u + v;
+                    data[start + k + len / 2] = u - v;
+                    w = w * wlen;
+                }
+            }
+            len <<= 1;
+        }
+        if inverse {
+            let inv = 1.0 / n as f64;
+            for d in data {
+                d.re *= inv;
+                d.im *= inv;
+            }
+        }
+    }
+
+    #[test]
+    fn fft1d_length_one_is_identity() {
+        for inverse in [false, true] {
+            let mut v = vec![C64::new(0.25, -3.5)];
+            fft_1d(&mut v, inverse);
+            assert_eq!(v, [C64::new(0.25, -3.5)]);
+        }
+        let cfg = FftConfig { n: 1, seed: 9 };
+        assert_eq!(fft3d_serial(&cfg), [input_at(&cfg, 0, 0, 0)]);
+    }
+
+    #[test]
+    fn plan_matches_textbook_loop_bit_for_bit() {
+        for bits in 0..=9 {
+            for inverse in [false, true] {
+                let mut fast = signal(1 << bits, 0.1);
+                let mut slow = fast.clone();
+                fft_1d(&mut fast, inverse);
+                textbook_fft(&mut slow, inverse);
+                assert!(same_bits(&fast, &slow), "n = {} inverse = {inverse}", 1 << bits);
+            }
+        }
+    }
+
+    #[test]
+    fn row_batched_columns_match_per_column_fft_bit_for_bit() {
+        for n in [1usize, 2, 4, 8, 64] {
+            for row in [1usize, 3, 64] {
+                for inverse in [false, true] {
+                    let data = signal(n * row, 0.3);
+                    let mut batched = data.clone();
+                    Plan::new(n, inverse).run_rows(&mut batched, row);
+                    let mut per_col = data.clone();
+                    let mut col = vec![C64::default(); n];
+                    for c in 0..row {
+                        for (k, v) in col.iter_mut().enumerate() {
+                            *v = data[k * row + c];
+                        }
+                        fft_1d(&mut col, inverse);
+                        for (k, v) in col.iter().enumerate() {
+                            per_col[k * row + c] = *v;
+                        }
+                    }
+                    assert!(same_bits(&batched, &per_col), "n {n} row {row} inverse {inverse}");
+                }
+            }
         }
     }
 

@@ -3,10 +3,11 @@
 //! application motifs.
 
 use fompi::{DataType, LockType, MpiOp, NumKind, Win};
-use fompi_apps::fft::{self, FftConfig};
+use fompi_apps::fft::{self, FftConfig, C64};
 use fompi_apps::hashtable::{self, HtConfig};
 use fompi_fabric::rng::Rng;
 use fompi_fabric::CostModel;
+use fompi_msg::{Comm, MsgEngine};
 use fompi_runtime::Universe;
 
 /// Random put/get scripts against one target behave like a local
@@ -136,7 +137,8 @@ fn hashtable_conserves_elements() {
     }
 }
 
-/// Distributed FFT equals the serial FFT for random seeds and sizes.
+/// Every distributed FFT variant equals the serial FFT bit for bit (same
+/// operations in the same order) for random seeds and sizes.
 #[test]
 fn fft_matches_serial_randomized() {
     for case in 0..8u64 {
@@ -148,25 +150,65 @@ fn fft_matches_serial_randomized() {
         }
         let seed = rng.next_u64();
         let cfg = FftConfig { n, seed };
-        let got = Universe::new(p)
-            .node_size(2)
-            .model(CostModel::free())
-            .run(move |ctx| fft::run_rma(ctx, &cfg));
+        let universe = || Universe::new(p).node_size(2).model(CostModel::free());
+        let mpi1 = |overlap: bool| {
+            let engine = MsgEngine::new(p);
+            universe().run(move |ctx| {
+                let comm = Comm::attach(ctx, &engine);
+                fft::run_mpi1(ctx, &comm, &cfg, overlap)
+            })
+        };
+        let variants = [
+            ("rma", universe().run(move |ctx| fft::run_rma(ctx, &cfg))),
+            ("upc", universe().run(move |ctx| fft::run_upc(ctx, &cfg))),
+            ("mpi1-bulk", mpi1(false)),
+            ("mpi1-overlap", mpi1(true)),
+        ];
         let reference = fft::fft3d_serial(&cfg);
         let nxl = n / p;
-        for (rank, res) in got.iter().enumerate() {
-            for z in 0..n {
-                for y in 0..n {
-                    for xl in 0..nxl {
-                        let a = res.local_out[(z * n + y) * nxl + xl];
-                        let b = reference[(z * n + y) * n + rank * nxl + xl];
-                        assert!(
-                            (a.re - b.re).abs() < 1e-6 && (a.im - b.im).abs() < 1e-6,
-                            "case {case} rank {rank}"
-                        );
-                    }
+        for (name, got) in &variants {
+            for (rank, res) in got.iter().enumerate() {
+                assert_eq!(res.local_out.len(), n * n * nxl);
+                for (i, a) in res.local_out.iter().enumerate() {
+                    let (zy, xl) = (i / nxl, i % nxl);
+                    let b = reference[zy * n + rank * nxl + xl];
+                    assert!(
+                        a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
+                        "case {case} {name} rank {rank} element {i}: {a:?} vs {b:?}"
+                    );
                 }
             }
         }
     }
+}
+
+/// FNV-1a over the `f64::to_bits` patterns of `v`.
+fn fnv_bits(h: &mut u64, v: &[C64]) {
+    for c in v {
+        for x in [c.re.to_bits(), c.im.to_bits()] {
+            for b in x.to_le_bytes() {
+                *h ^= u64::from(b);
+                *h = h.wrapping_mul(0x100_0000_01b3);
+            }
+        }
+    }
+}
+
+/// The FFT kernel reproduces the original textbook radix-2 loop bit for
+/// bit: the constant hashes that loop's output for a 16³ serial transform,
+/// a length-64 inverse and a length-32 forward transform (an even and an
+/// odd number of stages).
+#[test]
+fn fft_kernel_matches_golden_bits() {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    fnv_bits(&mut h, &fft::fft3d_serial(&FftConfig { n: 16, seed: 0x5EED }));
+    let mut v: Vec<C64> =
+        (0..64).map(|i| C64::new((i as f64 * 0.7).sin(), (i as f64 * 1.3).cos() - 0.2)).collect();
+    fft::fft_1d(&mut v, true);
+    fnv_bits(&mut h, &v);
+    let mut u: Vec<C64> =
+        (0..32).map(|i| C64::new(1.0 / (i as f64 + 1.0), -(i as f64 * 0.11).sin())).collect();
+    fft::fft_1d(&mut u, false);
+    fnv_bits(&mut h, &u);
+    assert_eq!(h, 0xb3ee_ab1c_82b6_69ff);
 }
